@@ -82,6 +82,14 @@ timeout 600 cargo test -q --test many_party
 echo "== gh-packing losslessness gate (10 min cap) =="
 timeout 600 cargo test -q --test losslessness gh_packing
 
+# Worker-pool equivalence gate: with 256-bit Paillier, models trained at
+# workers 1, 2 and 4 must be bitwise identical under both GH-packing
+# settings and both schedulers (2 hosts, plus one 4-host run), now that
+# `workers` fans out onto real pool threads. The outer timeout turns a
+# pool deadlock into a failure instead of a stuck job.
+echo "== workers equivalence gate (real pool, 5 min cap) =="
+timeout 300 cargo test -q --test workers_equivalence
+
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run
 

@@ -4,13 +4,11 @@
 //! workers give 1.40–1.65×, 16 workers 1.85–2.23× (sub-linear because
 //! histogram aggregation and cipher transfer don't parallelize).
 //!
-//! Scaled here to worker counts {1, 2, 4}. **Caveat:** this machine may
-//! have fewer cores than workers (the reproduction environment has one),
-//! in which case the measured wall time cannot speed up; the table
-//! therefore also prints a **modeled** speedup
-//! `busy(1) / (busy(1)/W + aggregation(W))`, where the aggregation term is
-//! measured from the worker-shard merge (the same non-scaling component
-//! the paper blames for sub-linearity).
+//! Scaled here to worker counts {1, 2, 4}. Each party's `workers` is its
+//! fan-out width over the process-wide worker pool, and every party in
+//! this single-process run shares that pool's cores, so the measured wall
+//! speedup is capped by `machine cores` (printed first) and by the
+//! parties' overlap: read it against the core count, not against `W`.
 
 use vf2_bench::{base_config, header, scale, secs};
 use vf2_datagen::presets::preset;
@@ -31,7 +29,6 @@ fn main() {
         let data = p.generate(11);
         let s = vf2_datagen::vertical::split_vertical(&data, &[p.features_a]);
         println!("-- {name}-like: N = {}, D = {}/{} --", p.rows, p.features_a, p.features_b);
-        let mut base_busy = None;
         let mut base_wall = None;
         for workers in [1usize, 2, 4] {
             let cfg = TrainConfig {
@@ -40,29 +37,12 @@ fn main() {
                 ..base_config()
             };
             let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");
-            let busy = out.report.hosts[0].phases.busy() + out.report.guest.phases.busy();
             let wall = out.report.wall_time;
-            let (b1, w1) = match (base_busy, base_wall) {
-                (Some(b), Some(w)) => (b, w),
-                _ => {
-                    base_busy = Some(busy);
-                    base_wall = Some(wall);
-                    (busy, wall)
-                }
-            };
-            // Aggregation/sync that does not parallelize: node splitting
-            // (placement bitmaps are inherently sequential per node).
-            let serial: std::time::Duration =
-                out.report.guest.phases.split_nodes + out.report.hosts[0].phases.split_nodes;
-            let b1s = b1.as_secs_f64();
-            let modeled =
-                (b1s - serial.as_secs_f64()).max(0.0) / workers as f64 + serial.as_secs_f64();
+            let w1 = *base_wall.get_or_insert(wall);
             println!(
-                "  {workers} workers: wall {} ({:.2}x)   modeled {:8.3}s ({:.2}x)",
+                "  {workers} workers: wall {} ({:.2}x measured, machine cores {cores})",
                 secs(wall),
                 w1.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-                modeled,
-                b1s / modeled.max(1e-9),
             );
         }
         println!();

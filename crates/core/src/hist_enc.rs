@@ -712,7 +712,7 @@ mod tests {
             hs.push(h);
             bins_of.push(bin);
         }
-        let ciphers = s.encrypt_gh_batch_seq(&gs, &hs, &plan, 99).unwrap();
+        let ciphers = s.encrypt_gh_batch(&gs, &hs, &plan, 99).unwrap();
         let mut builder = EncHistBuilder::new(&meta(3), &enc, true);
         for (c, &bin) in ciphers.iter().zip(&bins_of) {
             builder.add(&s, 0, bin, c).unwrap();
@@ -752,7 +752,7 @@ mod tests {
             Err(CryptoError::SuiteMismatch)
         ));
         // A bins declaration that disagrees with the packed slot total.
-        let ciphers = s.encrypt_gh_batch_seq(&[0.5, -0.5], &[0.1, 0.2], &plan, 3).unwrap();
+        let ciphers = s.encrypt_gh_batch(&[0.5, -0.5], &[0.1, 0.2], &plan, 3).unwrap();
         let mut packed = pack_gh_feature_hist(&s, &ciphers, &plan, 64).unwrap();
         packed.bins = 7;
         let err = unpack_gh_feature_hist(&s, &packed, &plan).unwrap_err();

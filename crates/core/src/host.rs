@@ -291,14 +291,10 @@ impl HostParty {
     ) -> Result<HostParty, TrainError> {
         let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.workers.max(1))
-            .thread_name(move |i| format!("host{party_index}-worker{i}"))
-            .build()
-            .map_err(|e| TrainError::Setup {
-                party: PartyId::Host(party_index),
-                detail: e.to_string(),
-            })?;
+        let pool =
+            rayon::ThreadPoolBuilder::new().num_threads(cfg.workers.max(1)).build().map_err(
+                |e| TrainError::Setup { party: PartyId::Host(party_index), detail: e.to_string() },
+            )?;
         let telemetry = PartyTelemetry {
             name: format!("host-{party_index}"),
             trace: TraceRing::new(cfg.trace_events_cap, cfg.trace_spans),
@@ -1343,31 +1339,14 @@ impl HostParty {
                     pack_gh_feature_hist(suite, &bins, &plan, self.cfg.protocol.target_slot_bits)
                         .map_err(&crypto)
                 };
-                let features: Vec<Result<GhPackedFeatureHist, TrainError>> =
-                    if self.cfg.workers <= 1 {
-                        (0..g.num_features()).map(pack_one).collect()
-                    } else {
-                        self.pool.install(|| {
-                            use rayon::prelude::*;
-                            (0..g.num_features()).into_par_iter().map(pack_one).collect()
-                        })
-                    };
-                HistPayload::GhPacked(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+                HistPayload::GhPacked(per_feature(&self.pool, g.num_features(), pack_one)?)
             } else {
                 let raw_one = |f: usize| -> Result<GhFeatureHist, TrainError> {
                     Ok(GhFeatureHist {
                         bins: g.finalize_feature(suite, f, Some(target)).map_err(&crypto)?,
                     })
                 };
-                let features: Vec<Result<GhFeatureHist, TrainError>> = if self.cfg.workers <= 1 {
-                    (0..g.num_features()).map(raw_one).collect()
-                } else {
-                    self.pool.install(|| {
-                        use rayon::prelude::*;
-                        (0..g.num_features()).into_par_iter().map(raw_one).collect()
-                    })
-                };
-                HistPayload::GhRaw(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+                HistPayload::GhRaw(per_feature(&self.pool, g.num_features(), raw_one)?)
             }
         } else if self.cfg.protocol.pack_histograms {
             let target = max_exponent(&self.cfg.encoding);
@@ -1388,15 +1367,7 @@ impl HostParty {
                 )
                 .map_err(&crypto)
             };
-            let features: Vec<Result<PackedFeatureHist, TrainError>> = if self.cfg.workers <= 1 {
-                (0..g.num_features()).map(pack_one).collect()
-            } else {
-                self.pool.install(|| {
-                    use rayon::prelude::*;
-                    (0..g.num_features()).into_par_iter().map(pack_one).collect()
-                })
-            };
-            HistPayload::Packed(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+            HistPayload::Packed(per_feature(&self.pool, g.num_features(), pack_one)?)
         } else {
             let raw_one = |f: usize| -> Result<RawFeatureHist, TrainError> {
                 Ok(RawFeatureHist {
@@ -1404,20 +1375,23 @@ impl HostParty {
                     h: h.finalize_feature(suite, f, None).map_err(&crypto)?,
                 })
             };
-            let features: Vec<Result<RawFeatureHist, TrainError>> = if self.cfg.workers <= 1 {
-                (0..g.num_features()).map(raw_one).collect()
-            } else {
-                self.pool.install(|| {
-                    use rayon::prelude::*;
-                    (0..g.num_features()).into_par_iter().map(raw_one).collect()
-                })
-            };
-            HistPayload::Raw(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+            HistPayload::Raw(per_feature(&self.pool, g.num_features(), raw_one)?)
         };
         self.telemetry.phases.pack += t0.elapsed();
         self.telemetry.trace.exit(TracePhase::Pack, tree, None);
         Ok(payload)
     }
+}
+
+/// Runs `one` over features `0..n` across the pool's width and collects
+/// the results in feature order (the first error, by feature, wins).
+fn per_feature<T: Send>(
+    pool: &rayon::ThreadPool,
+    n: usize,
+    one: impl Fn(usize) -> Result<T, TrainError> + Sync,
+) -> Result<Vec<T>, TrainError> {
+    use rayon::prelude::*;
+    pool.install(|| (0..n).into_par_iter().map(one).collect())
 }
 
 #[cfg(test)]

@@ -33,8 +33,8 @@ pub const RUN_REPORT_SCHEMA: &str = "vf2boost-run-report/v1";
 /// point of the concurrent protocol is that phases overlap, and overlap
 /// must not double-count. Note this only attributes work done *on the
 /// party's own thread*; with `workers = 1` all phase work runs inline, so
-/// the attribution is exact (multi-worker runs report pool work through
-/// wall time instead — see the Table 5 bench notes).
+/// the attribution is exact (multi-worker runs fan out onto the shared
+/// pool's worker threads and time phases by wall clock instead).
 pub fn thread_cpu_now() -> Duration {
     let mut ts = libc::timespec { tv_sec: 0, tv_nsec: 0 };
     // SAFETY: clock_gettime with a valid clock id and out-pointer.

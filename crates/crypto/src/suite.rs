@@ -255,34 +255,10 @@ impl Suite {
         }
     }
 
-    /// Encrypts a batch sequentially on the calling thread (same
-    /// per-element derivation as [`Suite::encrypt_batch`], so the two are
-    /// interchangeable bit-for-bit).
-    pub fn encrypt_batch_seq(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
-        match self.0.kind {
-            SuiteKind::Paillier => {
-                let sk = self.sk()?;
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                        Ok(Ciphertext::Paillier(EncryptedNumber::encrypt(
-                            v,
-                            sk,
-                            &self.0.cfg,
-                            &mut rng,
-                            &self.0.counters,
-                        )?))
-                    })
-                    .collect()
-            }
-            SuiteKind::Plain => self.encrypt_batch(values, seed),
-        }
-    }
-
-    /// Encrypts a batch in parallel (rayon), deterministically derived from
-    /// `seed`. This is the encryption kernel of the blaster scheme.
+    /// Encrypts a batch across the caller's rayon pool width (inline
+    /// outside `install`), deterministically derived from `seed`: element
+    /// `i` draws from `seed + i`, so the output is the same at any width.
+    /// This is the encryption kernel of the blaster scheme.
     pub fn encrypt_batch(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
         use rayon::prelude::*;
         match self.0.kind {
@@ -321,45 +297,11 @@ impl Suite {
         }
     }
 
-    /// Encrypts `(g, h)` pairs one packed plaintext each, sequentially on
-    /// the calling thread (same per-element derivation as
-    /// [`Suite::encrypt_gh_batch`], so the two are interchangeable
-    /// bit-for-bit). Paillier suites only — the mock keeps separate g/h
-    /// streams, so forward-path packing has nothing to gain there.
-    pub fn encrypt_gh_batch_seq(
-        &self,
-        g: &[f64],
-        h: &[f64],
-        plan: &GhPlan,
-        seed: u64,
-    ) -> Result<Vec<Ciphertext>> {
-        if g.len() != h.len() {
-            return Err(CryptoError::ShapeMismatch {
-                context: "encrypt_gh_batch g/h lengths",
-                left: g.len(),
-                right: h.len(),
-            });
-        }
-        if self.0.kind != SuiteKind::Paillier {
-            return Err(CryptoError::SuiteMismatch);
-        }
-        let sk = self.sk()?;
-        g.iter()
-            .zip(h)
-            .enumerate()
-            .map(|(i, (&gv, &hv))| {
-                let rep = plan.encode_pair(gv, hv, &self.0.cfg)?;
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let cipher = sk.encrypt_raw_ctr(&rep, &mut rng, &self.0.counters);
-                self.0.counters.add_enc(1);
-                self.0.counters.add_ghpack(1);
-                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: plan.exponent }))
-            })
-            .collect()
-    }
-
-    /// Encrypts `(g, h)` pairs one packed plaintext each, in parallel
-    /// (rayon), deterministically derived from `seed`. The forward-path
+    /// Encrypts `(g, h)` pairs one packed plaintext each, across the
+    /// caller's rayon pool width, deterministically derived from `seed`
+    /// (the same at any width, as for [`Suite::encrypt_batch`]). Paillier
+    /// suites only — the mock keeps separate g/h streams, so forward-path
+    /// packing has nothing to gain there. The forward-path
     /// counterpart of [`Suite::encrypt_batch`]: one Paillier encryption per
     /// *pair* instead of one per value.
     pub fn encrypt_gh_batch(
@@ -900,7 +842,7 @@ mod tests {
         let g = [0.5, -0.25, 0.75, -1.0];
         let h = [0.25, 0.25, -0.125, 0.0];
         let before = s.counters().snapshot();
-        let cts = s.encrypt_gh_batch_seq(&g, &h, &plan, 77).unwrap();
+        let cts = s.encrypt_gh_batch(&g, &h, &plan, 77).unwrap();
         let delta = s.counters().snapshot().since(&before);
         assert_eq!(delta.enc, 4);
         assert_eq!(delta.ghpack, 4);
@@ -926,8 +868,9 @@ mod tests {
         let plan = GhPlan::new(1.0, 1.0, 16, s.encoding()).unwrap();
         let g: Vec<f64> = (0..10).map(|i| (i as f64) / 10.0 - 0.5).collect();
         let h: Vec<f64> = (0..10).map(|i| 0.25 - (i as f64) * 0.01).collect();
-        let a = s.encrypt_gh_batch_seq(&g, &h, &plan, 5).unwrap();
-        let b = s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap();
+        let a = s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let b = pool.install(|| s.encrypt_gh_batch(&g, &h, &plan, 5)).unwrap();
         assert_eq!(a, b, "parallel and sequential GH batches must be bit-identical");
     }
 
@@ -936,13 +879,13 @@ mod tests {
         let s = paillier_suite();
         let plan = GhPlan::new(1.0, 1.0, 4, s.encoding()).unwrap();
         assert!(matches!(
-            s.encrypt_gh_batch_seq(&[1.0], &[1.0, 2.0], &plan, 1),
+            s.encrypt_gh_batch(&[1.0], &[1.0, 2.0], &plan, 1),
             Err(CryptoError::ShapeMismatch { .. })
         ));
         let m = Suite::plain(EncodingConfig::default());
         let mplan = GhPlan::new(1.0, 1.0, 4, m.encoding()).unwrap();
         assert!(matches!(
-            m.encrypt_gh_batch_seq(&[1.0], &[1.0], &mplan, 1),
+            m.encrypt_gh_batch(&[1.0], &[1.0], &mplan, 1),
             Err(CryptoError::SuiteMismatch)
         ));
     }
@@ -955,7 +898,7 @@ mod tests {
         let plan = GhPlan::new(1.0, 1.0, 4, s.encoding()).unwrap();
         let g = [0.5, -0.25, 0.75];
         let h = [0.25, 0.125, -0.5];
-        let bins = s.encrypt_gh_batch_seq(&g, &h, &plan, 9).unwrap();
+        let bins = s.encrypt_gh_batch(&g, &h, &plan, 9).unwrap();
         let slot_bits = plan.stride().div_ceil(8) * 8;
         let wire_plan = PackingPlan::new(s.public_key().unwrap(), slot_bits, bins.len()).unwrap();
         let packed = s.pack(&bins, &wire_plan).unwrap();
