@@ -68,10 +68,10 @@ fi
 
 # Many-party chaos gate: 8 hosts behind heterogeneous faulty WANs
 # (rolling staggered stalls, reordering links, a bandwidth/latency
-# spread) must train bitwise-identical models under the lockstep and
-# pipelined schedulers in every protocol mode, and a mid-run
-# kill-and-rejoin under the pipelined scheduler must hold the rewind
-# barrier. The outer timeout turns a scheduler livelock into a failure.
+# spread) must train, in every protocol mode, the model a fault-free run
+# on instant links trains, bit for bit, and a mid-run kill-and-rejoin
+# with overlapping transfers must hold the rewind barrier. The outer
+# timeout turns a tree-loop livelock into a failure.
 echo "== many-party scheduler chaos gate (8 hosts, 10 min cap) =="
 timeout 600 cargo test -q --test many_party
 
@@ -84,8 +84,8 @@ timeout 600 cargo test -q --test losslessness gh_packing
 
 # Worker-pool equivalence gate: with 256-bit Paillier, models trained at
 # workers 1, 2 and 4 must be bitwise identical under both GH-packing
-# settings and both schedulers (2 hosts, plus one 4-host run), now that
-# `workers` fans out onto real pool threads. The outer timeout turns a
+# settings (2 hosts, plus one 4-host run), now that `workers` fans out
+# onto real pool threads. The outer timeout turns a
 # pool deadlock into a failure instead of a stuck job.
 echo "== workers equivalence gate (real pool, 5 min cap) =="
 timeout 300 cargo test -q --test workers_equivalence
@@ -123,12 +123,12 @@ jq -e '
     and .busy_s <= $wall + 1.0)' "$REPORT" > /dev/null
 rm -f "$REPORT"
 
-# Pipelined-scheduler overlap gate: an 8-host smoke run under the
-# event-driven scheduler must show real phase overlap in its run report —
+# Tree-loop overlap gate: an 8-host VF2Boost smoke run behind a
+# heterogeneous WAN must show real phase overlap in its run report —
 # every party's busy time exceeds its largest single phase (work in at
 # least two phases interleaved instead of one phase serializing the
-# party), and the guest actually drained multi-answer batches from the
-# event queue (more answers than batches).
+# party), and the guest's event-driven tree loop actually drained
+# multi-answer batches from the event queue (more answers than batches).
 echo "== pipelined scheduler overlap gate (8 hosts, jq) =="
 REPORT=$(mktemp /tmp/vf2_pipelined_report.XXXXXX.json)
 VF2_KEY_BITS=256 cargo run --release -q -p vf2-bench --bin perf_smoke -- --report-pipelined "$REPORT"

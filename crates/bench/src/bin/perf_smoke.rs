@@ -16,11 +16,9 @@
 //!   and live-rejoins under `AwaitRejoin` — the wall-clock catch-up cost
 //!   of the quarantine/rewind/re-execute cycle, with the final models
 //!   verified bitwise identical.
-//! * `BENCH_PR10.json` — the event-driven per-party scheduler (PR 10):
-//!   eight hosts behind a heterogeneous WAN trained under the lockstep
-//!   and pipelined schedulers — wall clock for both, the makespan ratio
-//!   (target ≤ 0.8), the slowest-link-bound modeled makespans, and a
-//!   bitwise model-identity check across every protocol mode.
+//!
+//! `BENCH_PR10.json` is a historical record of a scheduler comparison
+//! whose code path no longer exists; this binary no longer rewrites it.
 //!
 //! Run with `cargo run --release -p vf2-bench --bin perf_smoke`.
 //!
@@ -28,7 +26,7 @@
 //! training and writes the machine-readable run report
 //! (`vf2boost-run-report/v1`, see `vf2boost_core::telemetry`) to `path` —
 //! the artifact ci.sh schema-checks with `jq`. `--report-pipelined <path>`
-//! does the same for an 8-host run under the pipelined scheduler — the
+//! does the same for an 8-host run behind a heterogeneous WAN — the
 //! artifact ci.sh's transfer/decrypt overlap gate inspects.
 
 use std::time::{Duration, Instant};
@@ -43,9 +41,8 @@ use vf2_crypto::{KeyPair, RandomnessPool};
 use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2_datagen::vertical::{split_even, split_vertical, VerticalScenario};
 use vf2_gbdt::binning::{BinnedDataset, BinningConfig};
-use vf2_gbdt::data::Dataset;
 use vf2_gbdt::train::GbdtParams;
-use vf2boost_core::config::{CryptoConfig, HostLossPolicy, Scheduler, WanSpread};
+use vf2boost_core::config::{HostLossPolicy, WanSpread};
 use vf2boost_core::hist_enc::EncHistBuilder;
 use vf2boost_core::protocol::ProtocolConfig;
 use vf2boost_core::rows::RowMajorBins;
@@ -103,20 +100,16 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
     std::fs::write(path, &json).expect("write BENCH_PR9.json");
     println!("\nwrote {path}");
-
-    let json = pr10_scheduler();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    std::fs::write(path, &json).expect("write BENCH_PR10.json");
-    println!("\nwrote {path}");
 }
 
-/// Hosts in the PR 10 scheduler bench (nine parties with the guest).
-const PR10_HOSTS: usize = 8;
+/// Hosts in the many-party report run (nine parties with the guest).
+const MANY_HOSTS: usize = 8;
 
-/// The eight-host scenario the PR 10 comparison trains: eighteen features
-/// split evenly over nine parties, so each host holds a narrow two-feature
-/// slice whose histogram answer decrypts in a couple of ciphertexts.
-fn pr10_scenario(rows: usize, seed: u64) -> VerticalScenario {
+/// The eight-host scenario the many-party report run trains: eighteen
+/// features split evenly over nine parties, so each host holds a narrow
+/// two-feature slice whose histogram answer decrypts in a couple of
+/// ciphertexts.
+fn many_party_scenario(rows: usize, seed: u64) -> VerticalScenario {
     split_even(
         &generate_classification(&SyntheticConfig {
             rows,
@@ -126,14 +119,14 @@ fn pr10_scenario(rows: usize, seed: u64) -> VerticalScenario {
             label_noise: 0.0,
             seed,
         }),
-        PR10_HOSTS + 1,
+        MANY_HOSTS + 1,
     )
 }
 
-/// Heterogeneous WAN for the PR 10 runs: host 0 at 300 Mbps / 500 µs,
-/// the last host at a quarter of the bandwidth and four times the
-/// latency, the roster interpolated in between.
-fn pr10_wan(cfg: TrainConfig) -> TrainConfig {
+/// Heterogeneous WAN for the many-party report run: host 0 at 300 Mbps /
+/// 500 µs, the last host at a quarter of the bandwidth and four times
+/// the latency, the roster interpolated in between.
+fn many_party_wan(cfg: TrainConfig) -> TrainConfig {
     TrainConfig {
         wan: WanConfig {
             bandwidth_bytes_per_sec: 300.0e6 / 8.0,
@@ -145,157 +138,12 @@ fn pr10_wan(cfg: TrainConfig) -> TrainConfig {
     }
 }
 
-/// PR 10: the event-driven per-party scheduler. Eight hosts behind a
-/// heterogeneous WAN train the identical model under both schedulers; the
-/// pipelined one overlaps a slow party's transfer with another's
-/// decryption and batch-decrypts already-arrived answers across the
-/// worker pool, so the guest's decrypt wall shrinks from per-payload
-/// width (two features) to the pool width.
-///
-/// Like Table 5, this machine may have fewer cores than workers (the
-/// reproduction environment has one), in which case the measured wall
-/// cannot show the pool fan-out. The headline ratio is therefore a
-/// **modeled** makespan at `workers` cores, built from measured phases
-/// and the measured batch-width counters: the guest's decrypt shrinks by
-/// its parallel width — `min(workers, features-per-host)` under lockstep
-/// (per-feature fan-out inside one payload), `Σ⌈batch/workers⌉ / Σbatch`
-/// under pipelined (cross-payload fan-out over the drained batches) —
-/// and the makespan is the busiest party. The JSON records measured
-/// walls, modeled makespans, the ratio (acceptance: ≤ 0.8), and a
-/// bitwise identity sweep over every protocol mode.
-fn pr10_scheduler() -> String {
-    const PR10_WORKERS: usize = 4;
-    const FEATS_PER_HOST: usize = 18 / (PR10_HOSTS + 1);
-    let s = pr10_scenario(480, 10);
-    // The decrypt-bound shape (raw bin ciphers, the paper's Dec ≫ HAdd
-    // ordering): transfers are big, hosts are HAdd-heavy, and the guest's
-    // decrypt dominates — the regime the scheduler's overlap targets.
-    let timed_cfg = |scheduler: Scheduler| {
-        pr10_wan(TrainConfig {
-            gbdt: GbdtParams {
-                num_trees: 2,
-                max_layers: 5,
-                binning: BinningConfig { num_bins: MICRO_BINS, max_samples: 1 << 16 },
-                ..Default::default()
-            },
-            protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
-            gh_packing: true,
-            workers: PR10_WORKERS,
-            scheduler,
-            pipeline_depth: PR10_HOSTS,
-            ..base_config()
-        })
-    };
-
-    let timed = |scheduler: Scheduler| {
-        let t0 = Instant::now();
-        let out = train_federated(&s.hosts, &s.guest, &timed_cfg(scheduler))
-            .expect("scheduler bench run succeeds");
-        (t0.elapsed(), out)
-    };
-    let (wall_lockstep, lockstep) = timed(Scheduler::Lockstep);
-    let (wall_pipelined, pipelined) = timed(Scheduler::Pipelined);
-
-    let refs: Vec<&Dataset> = s.hosts.iter().collect();
-    let lm = lockstep.model.predict_margin(&refs, &s.guest);
-    let pm = pipelined.model.predict_margin(&refs, &s.guest);
-    for (a, b) in lm.iter().zip(&pm) {
-        assert_eq!(a.to_bits(), b.to_bits(), "schedulers trained different models: {a} vs {b}");
-    }
-
-    // Modeled makespan at `workers` cores: replace the guest's serial
-    // decrypt with its pool-parallel wall, keep every other phase and
-    // every host as measured, then take the busiest party.
-    let modeled_makespan = |out: &vf2boost_core::train::TrainOutput, dec_scale: f64| -> f64 {
-        let g = &out.report.guest.phases;
-        let guest = g.busy().as_secs_f64() - g.decrypt_find.as_secs_f64() * (1.0 - dec_scale);
-        out.report.hosts.iter().map(|h| h.phases.busy().as_secs_f64()).fold(guest, f64::max)
-    };
-    let lockstep_scale = 1.0 / PR10_WORKERS.min(FEATS_PER_HOST) as f64;
-    let ev = &pipelined.report.guest.events;
-    let pipelined_scale = if ev.sched_batch_hists == 0 {
-        1.0
-    } else {
-        ev.sched_batch_rounds as f64 / ev.sched_batch_hists as f64
-    };
-    let modeled_lockstep = modeled_makespan(&lockstep, lockstep_scale);
-    let modeled_pipelined = modeled_makespan(&pipelined, pipelined_scale);
-
-    // Bitwise identity across every protocol mode (fast, mock crypto).
-    let modes = [
-        ("seq-raw", ProtocolConfig::baseline()),
-        ("seq-packed", ProtocolConfig { pack_histograms: true, ..ProtocolConfig::baseline() }),
-        ("opt-raw", ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() }),
-        ("opt-packed", ProtocolConfig::vf2boost()),
-    ];
-    let ms = pr10_scenario(240, 11);
-    let mrefs: Vec<&Dataset> = ms.hosts.iter().collect();
-    for (name, protocol) in modes {
-        let mode_cfg = |scheduler: Scheduler| {
-            pr10_wan(TrainConfig {
-                gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
-                crypto: CryptoConfig::Mock,
-                protocol,
-                scheduler,
-                pipeline_depth: 8,
-                ..base_config()
-            })
-        };
-        let run = |scheduler: Scheduler| {
-            train_federated(&ms.hosts, &ms.guest, &mode_cfg(scheduler))
-                .unwrap_or_else(|f| panic!("[{name}] mode sweep failed: {}", f.error))
-                .model
-                .predict_margin(&mrefs, &ms.guest)
-        };
-        let (a, b) = (run(Scheduler::Lockstep), run(Scheduler::Pipelined));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "[{name}] schedulers diverged: {x} vs {y}");
-        }
-    }
-
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let wall_ratio = wall_pipelined.as_secs_f64() / wall_lockstep.as_secs_f64().max(1e-9);
-    let ratio = modeled_pipelined / modeled_lockstep.max(1e-9);
-    let dec_lockstep = lockstep.report.guest.phases.decrypt_find.as_secs_f64();
-    let dec_pipelined = pipelined.report.guest.phases.decrypt_find.as_secs_f64();
-    println!(
-        "\nPR10 event-driven scheduler ({PR10_HOSTS} hosts, 480 rows, key_bits={}, workers={PR10_WORKERS}, heterogeneous WAN, machine cores {cores}):",
-        key_bits()
-    );
-    println!(
-        "  wall (measured)  lockstep {:>8.3} s   pipelined {:>8.3} s  ({wall_ratio:.2}; flat when cores < workers)",
-        wall_lockstep.as_secs_f64(),
-        wall_pipelined.as_secs_f64()
-    );
-    println!(
-        "  guest dec+find   lockstep {:>8.3} s   pipelined {:>8.3} s",
-        dec_lockstep, dec_pipelined
-    );
-    println!(
-        "  batches: {} committed, {} answers, {} pool rounds (decrypt scale lockstep {lockstep_scale:.2} vs pipelined {pipelined_scale:.2})",
-        ev.sched_batches, ev.sched_batch_hists, ev.sched_batch_rounds
-    );
-    println!(
-        "  modeled makespan lockstep {modeled_lockstep:>8.3} s   pipelined {modeled_pipelined:>8.3} s  (ratio {ratio:.2}, target <= 0.80; bitwise identical in all {} modes)",
-        modes.len()
-    );
-    format!(
-        "{{\n  \"bench\": \"PR10 event-driven per-party scheduler\",\n  \"hosts\": {PR10_HOSTS},\n  \"rows\": 480,\n  \"trees\": 2,\n  \"key_bits\": {},\n  \"workers\": {PR10_WORKERS},\n  \"machine_cores\": {cores},\n  \"wan\": {{ \"base_bandwidth_bytes_per_sec\": 37.5e6, \"base_latency_us\": 500, \"slowest_bandwidth_frac\": 0.25, \"latency_mult\": 4.0 }},\n  \"measured\": {{ \"lockstep_wall_s\": {:.3}, \"pipelined_wall_s\": {:.3}, \"wall_ratio\": {wall_ratio:.3} }},\n  \"modeled\": {{\n    \"note\": \"makespan at `workers` cores from measured phases: guest decrypt scaled by its parallel width (lockstep: per-feature fan-out; pipelined: measured batch rounds), busiest party wins\",\n    \"lockstep_makespan_s\": {modeled_lockstep:.3},\n    \"pipelined_makespan_s\": {modeled_pipelined:.3},\n    \"lockstep_decrypt_scale\": {lockstep_scale:.3},\n    \"pipelined_decrypt_scale\": {pipelined_scale:.3}\n  }},\n  \"pipelined_over_lockstep\": {ratio:.3},\n  \"guest_decrypt_find_lockstep_s\": {dec_lockstep:.3},\n  \"guest_decrypt_find_pipelined_s\": {dec_pipelined:.3},\n  \"sched_batches\": {},\n  \"sched_batch_hists\": {},\n  \"sched_batch_rounds\": {},\n  \"modes_bitwise_identical\": [\"seq-raw\", \"seq-packed\", \"opt-raw\", \"opt-packed\"]\n}}\n",
-        key_bits(),
-        wall_lockstep.as_secs_f64(),
-        wall_pipelined.as_secs_f64(),
-        ev.sched_batches,
-        ev.sched_batch_hists,
-        ev.sched_batch_rounds
-    )
-}
-
-/// Runs the 8-host pipelined smoke and writes its structured run report —
-/// the artifact ci.sh's overlap gate (`busy > max single phase` per
-/// party) inspects.
+/// Runs the 8-host smoke and writes its structured run report — the
+/// artifact ci.sh's overlap gate (`busy > max single phase` per party,
+/// more committed answers than batches) inspects.
 fn run_report_pipelined(path: &str) {
-    let s = pr10_scenario(360, 12);
-    let cfg = pr10_wan(TrainConfig {
+    let s = many_party_scenario(360, 12);
+    let cfg = many_party_wan(TrainConfig {
         gbdt: GbdtParams {
             num_trees: 2,
             max_layers: 4,
@@ -305,8 +153,6 @@ fn run_report_pipelined(path: &str) {
         protocol: ProtocolConfig::vf2boost(),
         gh_packing: true,
         workers: 4,
-        scheduler: Scheduler::Pipelined,
-        pipeline_depth: 8,
         ..base_config()
     });
     let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");

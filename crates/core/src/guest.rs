@@ -1,18 +1,22 @@
 //! The guest party (the paper's *Party B*): label owner, private-key
 //! holder, and protocol driver.
 //!
-//! The guest implements both training protocols over the same node-level
-//! machinery:
+//! The guest implements both training protocols in one event-driven tree
+//! loop over the same node-level machinery; the protocol only decides
+//! when admitted histogram answers are decrypted:
 //!
 //! * **Sequential** (the VF-GBDT baseline): strict per-layer phases — ship
-//!   all gradients, wait for *every* host histogram of the layer, then
-//!   decrypt, decide, and split. Each party idles while the other works,
-//!   which is exactly the mutual waiting of §2.4's Bottleneck 1.
+//!   all gradients, hold answers at a layer barrier until *every* host
+//!   histogram of the layer is in, then decrypt, decide, and split. Each
+//!   party idles while the other works, which is exactly the mutual
+//!   waiting of §2.4's Bottleneck 1.
 //! * **Optimistic** (§4.2): the guest splits each node with its own best
 //!   split as soon as it finds one and charges ahead; when a host's
 //!   histograms later reveal a better host split, the node is *dirty* —
 //!   its subtree is rolled back (epochs are bumped so in-flight histograms
-//!   are discarded) and re-done from the host's placement.
+//!   are discarded) and re-done from the host's placement. Answers are
+//!   decrypted as soon as the loop wakes, in batches of whatever has
+//!   already arrived.
 //!
 //! Gradient shipping uses blaster batches (§4.1) when configured: each
 //! batch is encrypted, handed to the (non-blocking) gateway link, and the
@@ -33,9 +37,9 @@ use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, best_split_from_prefix, find_best_split, SplitCandidate};
 use vf2_gbdt::tree::{layer_of, left_child, right_child, NodeId, NodeSplit};
 
-use crate::config::{HostLossPolicy, Scheduler, TrainConfig};
+use crate::config::{HostLossPolicy, TrainConfig};
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::fsm::{Admit, GuestFsm, HostDriver, MisbehaviorBudget};
+use crate::fsm::{Admit, GuestFsm, MisbehaviorBudget};
 use crate::hist_enc::{unpack_feature_hist, unpack_gh_feature_hist};
 use crate::messages::{FeatureMeta, HistPayload, Msg, HEARTBEAT_KIND};
 use crate::model::{FedNode, FedTree};
@@ -135,11 +139,11 @@ struct TreeCtx {
     pending: usize,
 }
 
-/// A histogram answer the pipelined scheduler has admitted but not yet
-/// decrypted. Batching these lets one party's FindSplitA overlap another
-/// party's transfer (and the guest's own plaintext build): the decrypt
-/// work is deferred until the event queue runs dry or `pipeline_depth`
-/// answers are waiting, then committed in `(node, host)` order.
+/// A histogram answer the tree loop has admitted but not yet decrypted.
+/// Holding these lets one party's FindSplitA overlap another party's
+/// transfer (and the guest's own plaintext build): the decrypt work is
+/// deferred to the protocol's commit point (see [`GuestParty::run_tree`]),
+/// then committed in `(node, host)` order.
 struct PendingHist {
     host: usize,
     node: NodeId,
@@ -209,10 +213,6 @@ struct GuestParty {
     hb_seq: u64,
     /// One validating state machine per host's inbound stream.
     fsms: Vec<GuestFsm>,
-    /// Scheduler-side per-host ledger (outstanding tasks, drain/park
-    /// state), layered on the FSMs. Observational: never consulted for a
-    /// split decision.
-    drivers: Vec<HostDriver>,
     /// Protocol-violation tolerance accounting, per host.
     budgets: Vec<MisbehaviorBudget>,
     /// Replacement-link factory for the `AwaitRejoin` policy.
@@ -260,7 +260,6 @@ impl GuestParty {
             hb_last: vec![Instant::now(); endpoints.len()],
             hb_seq: 0,
             fsms: (0..endpoints.len()).map(GuestFsm::new).collect(),
-            drivers: (0..endpoints.len()).map(HostDriver::new).collect(),
             budgets: vec![MisbehaviorBudget::new(cfg.misbehavior_budget); endpoints.len()],
             spawner,
             parked: vec![false; endpoints.len()],
@@ -523,7 +522,6 @@ impl GuestParty {
         };
         let my_sid = sess.session_id();
         self.fsms[host].quarantine();
-        self.drivers[host].park();
         self.telemetry.events.quarantines += 1;
         self.telemetry.trace.note(format!(
             "host-{host} quarantined ({original}); holding the session open for rejoin"
@@ -616,7 +614,6 @@ impl GuestParty {
         self.send_to(host, &Msg::Resume { session_id: my_sid, tree_count: target })?;
         self.rewind_survivors(target, Some(host))?;
         self.rewind_guest_state(&sess, trees, target)?;
-        self.drivers[host].resume_active();
         self.rejoined[host] += 1;
         self.telemetry.events.rejoins += 1;
         self.telemetry
@@ -633,7 +630,6 @@ impl GuestParty {
     /// in-memory split table is truncated by the rewind it is sent.
     fn park_host(&mut self, host: usize, completed: usize) -> Result<(), TrainError> {
         self.fsms[host].quarantine();
-        self.drivers[host].park();
         self.parked[host] = true;
         self.parked_at[host] = completed as u32;
         self.telemetry.events.quarantines += 1;
@@ -663,7 +659,6 @@ impl GuestParty {
             }
             self.send_to(h, &Msg::Rewind { session_id: my_sid, tree_count })?;
             self.fsms[h].begin_drain();
-            self.drivers[h].begin_drain();
             match self.recv_from(h, ProtocolPhase::TreeBuild)? {
                 Msg::RewindAck { session_id, tree_count: acked }
                     if session_id == my_sid && acked == tree_count => {}
@@ -832,7 +827,7 @@ impl GuestParty {
     /// Runs the admission gates on a message decoded from `host`:
     /// semantic payload validation first (stateless), then that host's
     /// protocol state machine (advances on admission). `Ok(Some(msg))`
-    /// delivers to the protocol drivers; `Ok(None)` means the message was
+    /// delivers to the tree loop; `Ok(None)` means the message was
     /// dropped — an honest straggler or a tolerated violation; an error
     /// means the host exhausted its misbehavior budget.
     fn admit_from(&mut self, host: usize, msg: Msg) -> Result<Option<Msg>, TrainError> {
@@ -847,19 +842,7 @@ impl GuestParty {
         )
         .and_then(|()| self.fsms[host].admit(&msg));
         match verdict {
-            Ok(Admit::Deliver) => {
-                // Scheduler ledger: an admitted histogram settles its
-                // outstanding task; an admitted rewind-ack ends a drain.
-                // (Admission order, not arrival order, updates the ledger.)
-                match &msg {
-                    Msg::NodeHistograms { node, epoch, .. } => {
-                        self.drivers[host].histogram_arrived(*node, *epoch);
-                    }
-                    Msg::RewindAck { .. } => self.drivers[host].resume_active(),
-                    _ => {}
-                }
-                Ok(Some(msg))
-            }
+            Ok(Admit::Deliver) => Ok(Some(msg)),
             Ok(Admit::Stale(reason)) => {
                 self.drop_stale(host, msg.kind(), reason);
                 Ok(None)
@@ -1087,8 +1070,8 @@ impl GuestParty {
         self.recv_internal(&live, ProtocolPhase::TreeBuild)
     }
 
-    /// Non-blocking companion to [`Self::recv_internal`] for the
-    /// pipelined drain: harvests one already-arrived protocol message
+    /// Non-blocking companion to [`Self::recv_internal`] for the tree
+    /// loop's drain: harvests one already-arrived protocol message
     /// from any live host (consuming heartbeats) without waiting.
     /// Returns `Ok(None)` when nothing is pending — or when a link died,
     /// which the next *blocking* wait will classify and report properly.
@@ -1124,9 +1107,6 @@ impl GuestParty {
         for fsm in &mut self.fsms {
             fsm.begin_tree(tree);
         }
-        for driver in &mut self.drivers {
-            driver.begin_tree();
-        }
         let grads = self.cfg.gbdt.loss.grad_hess_all(&self.labels, &self.preds);
         let n = self.data.num_rows();
         let mut ctx = TreeCtx {
@@ -1140,11 +1120,7 @@ impl GuestParty {
         };
 
         self.send_gradients(&ctx)?;
-        match (self.cfg.scheduler, self.cfg.protocol.optimistic) {
-            (Scheduler::Pipelined, _) => self.run_tree_pipelined(&mut ctx)?,
-            (Scheduler::Lockstep, true) => self.run_tree_optimistic(&mut ctx)?,
-            (Scheduler::Lockstep, false) => self.run_tree_sequential(&mut ctx)?,
-        }
+        self.run_tree(&mut ctx)?;
         self.broadcast(&Msg::TreeDone { tree })?;
 
         // Fold leaf weights into the training predictions.
@@ -1297,11 +1273,6 @@ impl GuestParty {
                 fsm.task_sent(node as u32, ctx.epoch[node]);
             }
         }
-        for (h, driver) in self.drivers.iter_mut().enumerate() {
-            if !self.parked[h] {
-                driver.task_issued(node as u32, ctx.epoch[node]);
-            }
-        }
         // Optimistic node-splitting: act on our own best split before the
         // hosts weigh in (§4.2). Speculation is bounded to ONE layer
         // beyond the validated frontier, as in the paper ("only after
@@ -1417,29 +1388,14 @@ impl GuestParty {
         self.broadcast(&Msg::NodeLeaf { tree: ctx.tree, node: node as u32 })
     }
 
-    /// Decodes one host's histogram payload into that host's best split
-    /// for the node.
+    /// Decrypts one host's histogram payload and returns that host's best
+    /// split for the node. Borrows `self` immutably so a batch of
+    /// histograms from different parties can be searched concurrently on
+    /// the rayon pool. Features fan out across the caller's pool width;
+    /// called from a pool job, the fan-out runs inline and the caller
+    /// parallelizes across payloads instead. Timing is charged by
+    /// [`Self::commit_hist_batch`], which knows the batch boundaries.
     fn host_best_split(
-        &mut self,
-        host: usize,
-        payload: &HistPayload,
-        total: GradPair,
-        count: usize,
-    ) -> Result<Option<SplitCandidate>, TrainError> {
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        let best = self.pool.install(|| self.host_best_split_core(host, payload, total, count));
-        self.telemetry.phases.decrypt_find += t0.elapsed();
-        best
-    }
-
-    /// The decrypt-and-search kernel behind [`Self::host_best_split`].
-    /// Borrows `self` immutably so a batch of histograms from different
-    /// parties can be searched concurrently on the rayon pool. Features
-    /// fan out across the caller's pool width; called from a pool job,
-    /// the fan-out runs inline and the caller parallelizes across
-    /// payloads instead. Timing is charged by the callers, which know the
-    /// batch boundaries.
-    fn host_best_split_core(
         &self,
         host: usize,
         payload: &HistPayload,
@@ -1688,9 +1644,6 @@ impl GuestParty {
                 }
             }
             ctx.decisions.remove(&d);
-            for driver in &mut self.drivers {
-                driver.task_superseded(d as u32);
-            }
             stack.push(left_child(d));
             stack.push(right_child(d));
         }
@@ -1748,78 +1701,8 @@ impl GuestParty {
         Ok(())
     }
 
-    fn on_node_histograms(
-        &mut self,
-        ctx: &mut TreeCtx,
-        host: usize,
-        node: NodeId,
-        epoch: u32,
-        payload: HistPayload,
-    ) -> Result<(), TrainError> {
-        if ctx.epoch.get(node).copied() != Some(epoch) || !ctx.states.contains_key(&node) {
-            self.telemetry.events.stale_histograms += 1;
-            return Ok(());
-        }
-        let (total, count) = {
-            let s = &ctx.states[&node];
-            if s.host_received[host] || s.resolved {
-                self.telemetry.events.stale_histograms += 1;
-                return Ok(());
-            }
-            (s.total, ctx.rows.rows(node).len())
-        };
-        self.telemetry.trace.enter(TracePhase::DecryptSplit, Some(ctx.tree), Some(node as u32));
-        let best = self.host_best_split(host, &payload, total, count)?;
-        self.telemetry.trace.exit(TracePhase::DecryptSplit, Some(ctx.tree), Some(node as u32));
-        let Some(state) = ctx.states.get_mut(&node) else {
-            return Err(guest_invariant("node state vanished while decrypting histograms"));
-        };
-        state.host_best[host] = best;
-        state.host_received[host] = true;
-        if state.host_received.iter().all(|&b| b) {
-            self.resolve(ctx, node)?;
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
-    // Optimistic driver (§4.2)
-    // ------------------------------------------------------------------
-
-    fn run_tree_optimistic(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        self.materialize(ctx, 0)?;
-        while ctx.pending > 0 {
-            let (host, msg) = self.recv_any()?;
-            match msg {
-                Msg::NodeHistograms { tree, node, epoch, payload } if tree == ctx.tree => {
-                    self.on_node_histograms(ctx, host, node as usize, epoch, payload)?;
-                }
-                Msg::Placement { tree, node, placement } if tree == ctx.tree => {
-                    self.on_placement(ctx, host, node as usize, placement)?;
-                }
-                // A different tree index on an otherwise-valid reply is a
-                // straggler from a finished tree: stale, not fatal. (The
-                // admission layer already filters these; this arm is the
-                // dispatch-level backstop.)
-                ref other @ (Msg::NodeHistograms { .. } | Msg::Placement { .. }) => {
-                    let kind = other.kind();
-                    self.drop_stale(host, kind, "cross-tree straggler in the optimistic loop");
-                }
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        from: PartyId::Host(host),
-                        kind: other.kind(),
-                        context: "optimistic tree loop",
-                    }
-                    .into())
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Pipelined driver (event-driven many-party scheduler)
+    // The tree loop (event-driven, both protocols)
     // ------------------------------------------------------------------
 
     /// True while `(node, epoch)` still names a live, unanswered slot for
@@ -1832,22 +1715,40 @@ impl GuestParty {
             && ctx.states.get(&node).is_some_and(|s| !s.host_received[host] && !s.resolved)
     }
 
-    /// Event-driven tree loop: one blocking wait per round, then a
-    /// sleep-free drain of everything already queued, batching admitted
-    /// histograms so party A's decrypt overlaps party B's transfer and
-    /// HAdd. Works for both protocol flavors — the sequential flavor
-    /// simply never speculates, so the frontier advances one validated
-    /// node at a time while answers still arrive in any order.
+    /// True when the VF-GBDT baseline's layer barrier is open: no node
+    /// awaits a placement, and every unresolved node has an answer from
+    /// every live host, committed or held. Parked hosts are pre-marked
+    /// received, so they are never waited on.
+    fn layer_complete(ctx: &TreeCtx, held: &[PendingHist]) -> bool {
+        ctx.states.iter().filter(|(_, s)| !s.resolved).all(|(&node, s)| {
+            s.awaiting_placement.is_none()
+                && s.host_received.iter().enumerate().all(|(h, &received)| {
+                    received || held.iter().any(|p| p.host == h && p.node == node)
+                })
+        })
+    }
+
+    /// The guest's one tree loop. Each round blocks for one event, then
+    /// drains everything already queued without sleeping: placements
+    /// apply at once, histogram answers are held. The protocol decides
+    /// when the held answers are decrypted and committed:
+    ///
+    /// * **VF²Boost** (`optimistic`): after every drain, so one party's
+    ///   decrypt overlaps another party's transfer and HAdd while the
+    ///   guest speculates ahead (§4.2).
+    /// * **VF-GBDT baseline**: only at the layer barrier
+    ///   ([`Self::layer_complete`]), so a whole layer's BuildHistA
+    ///   precedes its FindSplitA and each batch is exactly one layer.
     ///
     /// Determinism: the model depends only on per-node `(guest_best,
     /// host_best[*])` sets and `winner`'s index-ordered comparison, never
-    /// on arrival order, so batching (and any interleaving the WAN
-    /// produces) yields the model the lockstep drivers build bit for bit.
-    fn run_tree_pipelined(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        let depth = self.cfg.pipeline_depth.max(1);
+    /// on arrival order or batch boundaries, so both commit policies (and
+    /// any interleaving the WAN produces) build the same model bit for
+    /// bit.
+    fn run_tree(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
         self.materialize(ctx, 0)?;
+        let mut held: Vec<PendingHist> = Vec::new();
         while ctx.pending > 0 {
-            let mut batch: Vec<PendingHist> = Vec::new();
             // Block for the first event of the round; every further event
             // is taken only if it is already queued (zero-timeout poll of
             // the same unified queue), so the drain never sleeps while
@@ -1858,7 +1759,7 @@ impl GuestParty {
                     Msg::NodeHistograms { tree, node, epoch, payload } if tree == ctx.tree => {
                         let node = node as usize;
                         if Self::hist_is_fresh(ctx, host, node, epoch) {
-                            batch.push(PendingHist { host, node, epoch, payload });
+                            held.push(PendingHist { host, node, epoch, payload });
                         } else {
                             self.telemetry.events.stale_histograms += 1;
                         }
@@ -1866,30 +1767,29 @@ impl GuestParty {
                     Msg::Placement { tree, node, placement } if tree == ctx.tree => {
                         self.on_placement(ctx, host, node as usize, placement)?;
                     }
+                    // A different tree index on an otherwise-valid reply is
+                    // a straggler from a finished tree: stale, not fatal.
+                    // (The admission layer already filters these; this arm
+                    // is the dispatch-level backstop.)
                     ref other @ (Msg::NodeHistograms { .. } | Msg::Placement { .. }) => {
                         let kind = other.kind();
-                        self.drop_stale(host, kind, "cross-tree straggler in the pipelined loop");
+                        self.drop_stale(host, kind, "cross-tree straggler in the tree loop");
                     }
                     other => {
                         return Err(ProtocolError::UnexpectedMessage {
                             from: PartyId::Host(host),
                             kind: other.kind(),
-                            context: "pipelined tree loop",
+                            context: "tree loop",
                         }
                         .into())
                     }
                 }
-                if batch.len() >= depth {
-                    break;
-                }
                 next = self.try_recv_admitted()?;
             }
-            self.commit_hist_batch(ctx, batch)?;
+            if self.cfg.protocol.optimistic || Self::layer_complete(ctx, &held) {
+                self.commit_hist_batch(ctx, std::mem::take(&mut held))?;
+            }
         }
-        let peaks: Vec<usize> = self.drivers.iter().map(|d| d.peak_outstanding()).collect();
-        self.telemetry
-            .trace
-            .note(format!("tree {}: per-host peak outstanding tasks {peaks:?}", ctx.tree));
         Ok(())
     }
 
@@ -1923,8 +1823,6 @@ impl GuestParty {
         }
         self.telemetry.events.sched_batches += 1;
         self.telemetry.events.sched_batch_hists += batch.len() as u64;
-        self.telemetry.events.sched_batch_rounds +=
-            (batch.len() as u64).div_ceil(self.cfg.workers.max(1) as u64);
         for p in &batch {
             self.telemetry.trace.enter(
                 TracePhase::DecryptSplit,
@@ -1944,9 +1842,7 @@ impl GuestParty {
         let results: Vec<BestResult> = self.pool.install(|| {
             use rayon::prelude::*;
             jobs.par_iter()
-                .map(|&(p, total, count)| {
-                    self.host_best_split_core(p.host, &p.payload, total, count)
-                })
+                .map(|&(p, total, count)| self.host_best_split(p.host, &p.payload, total, count))
                 .collect()
         });
         self.telemetry.phases.decrypt_find += t0.elapsed();
@@ -1972,118 +1868,6 @@ impl GuestParty {
             if state.host_received.iter().all(|&b| b) {
                 self.resolve(ctx, p.node)?;
             }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Sequential driver (the VF-GBDT baseline)
-    // ------------------------------------------------------------------
-
-    fn run_tree_sequential(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        self.materialize(ctx, 0)?;
-        // The root may already have resolved (all hosts parked resolves
-        // eagerly, recursing through the children): only unresolved nodes
-        // are active.
-        let mut active: Vec<NodeId> =
-            ctx.states.iter().filter(|(_, s)| !s.resolved).map(|(&n, _)| n).collect();
-        // Histograms can arrive ahead of their layer (hosts start next-layer
-        // tasks as soon as placements land), so the buffer persists across
-        // layers.
-        let mut buffered: HashMap<(usize, NodeId), HistPayload> = HashMap::new();
-        while !active.is_empty() {
-            // Phase 1: buffer every active node's histograms from every
-            // live host before decrypting anything (BuildHistA fully
-            // precedes FindSplitA, as in the baseline's Gantt chart).
-            let num_hosts = self.endpoints.len();
-            let parked = self.parked.clone();
-            let needed = move |buf: &HashMap<(usize, NodeId), HistPayload>, active: &[NodeId]| {
-                active
-                    .iter()
-                    .any(|&n| (0..num_hosts).any(|h| !parked[h] && !buf.contains_key(&(h, n))))
-            };
-            while needed(&buffered, &active) {
-                let (host, msg) = self.recv_any()?;
-                match msg {
-                    Msg::NodeHistograms { node, epoch, payload, .. }
-                        if ctx.epoch.get(node as usize).copied() == Some(epoch) =>
-                    {
-                        buffered.insert((host, node as usize), payload);
-                    }
-                    Msg::NodeHistograms { .. } => {
-                        self.drop_stale(host, 4, "superseded-epoch histograms in the layer wait");
-                    }
-                    other => {
-                        return Err(ProtocolError::UnexpectedMessage {
-                            from: PartyId::Host(host),
-                            kind: other.kind(),
-                            context: "sequential layer wait",
-                        }
-                        .into())
-                    }
-                }
-            }
-            // Phase 2: decrypt and decide every node.
-            let mut awaiting: Vec<NodeId> = Vec::new();
-            for &node in &active {
-                for host in 0..self.endpoints.len() {
-                    if self.parked[host] {
-                        continue;
-                    }
-                    let Some(payload) = buffered.remove(&(host, node)) else {
-                        return Err(guest_invariant("layer wait ended with a histogram missing"));
-                    };
-                    let (total, count) = (ctx.states[&node].total, ctx.rows.rows(node).len());
-                    self.telemetry.trace.enter(
-                        TracePhase::DecryptSplit,
-                        Some(ctx.tree),
-                        Some(node as u32),
-                    );
-                    let best = self.host_best_split(host, &payload, total, count)?;
-                    self.telemetry.trace.exit(
-                        TracePhase::DecryptSplit,
-                        Some(ctx.tree),
-                        Some(node as u32),
-                    );
-                    let Some(state) = ctx.states.get_mut(&node) else {
-                        return Err(guest_invariant("active node lost its state mid-layer"));
-                    };
-                    state.host_best[host] = best;
-                    state.host_received[host] = true;
-                }
-                self.resolve(ctx, node)?;
-                if ctx.states[&node].awaiting_placement.is_some() {
-                    awaiting.push(node);
-                }
-            }
-            // Phase 3: collect placements for host-won nodes; histograms
-            // for the next layer may interleave and are buffered.
-            while awaiting.iter().any(|n| ctx.states[n].awaiting_placement.is_some()) {
-                let (host, msg) = self.recv_any()?;
-                match msg {
-                    Msg::Placement { node, placement, .. } => {
-                        self.on_placement(ctx, host, node as usize, placement)?;
-                    }
-                    Msg::NodeHistograms { node, epoch, payload, .. }
-                        if ctx.epoch.get(node as usize).copied() == Some(epoch) =>
-                    {
-                        buffered.insert((host, node as usize), payload);
-                    }
-                    Msg::NodeHistograms { .. } => {
-                        self.drop_stale(host, 4, "superseded-epoch histograms in placement wait");
-                    }
-                    other => {
-                        return Err(ProtocolError::UnexpectedMessage {
-                            from: PartyId::Host(host),
-                            kind: other.kind(),
-                            context: "sequential placement wait",
-                        }
-                        .into())
-                    }
-                }
-            }
-            // Next layer: the children materialized by resolve/on_placement.
-            active = ctx.states.iter().filter(|(_, s)| !s.resolved).map(|(&n, _)| n).collect();
         }
         Ok(())
     }

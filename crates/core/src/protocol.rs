@@ -13,14 +13,14 @@
 /// | +OptimSplit only | baseline + `optimistic: true` |
 /// | +HistPack only | baseline + `pack_histograms: true` |
 ///
-/// Orthogonal to all of the above is the guest's *scheduler*
-/// ([`crate::config::Scheduler`]): `Lockstep` drives hosts with the
-/// phase-synchronous wait loops, `Pipelined` drives them from a unified
-/// event queue that overlaps one party's transfer with another's
-/// decryption. Every protocol combination composes with either scheduler
-/// and trains the same model bit for bit — the scheduler changes *when*
-/// answers are decrypted, never *which* split wins (admission order and
-/// the index-ordered winner scan decide that).
+/// Every combination runs through the guest's one event-driven tree loop;
+/// `optimistic` also picks when that loop decrypts. Optimistic runs
+/// commit whatever histograms have already arrived each time the loop
+/// wakes. Sequential runs hold answers at a layer barrier and commit a
+/// layer only once every live host has answered all of it. Either way
+/// the same model comes out bit for bit: batching changes *when* answers
+/// are decrypted, never *which* split wins (the index-ordered winner
+/// scan over each node's complete answer set decides that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Optimistic node-splitting with dirty-node rollback (§4.2). When

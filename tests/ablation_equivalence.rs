@@ -4,7 +4,7 @@
 
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::protocol::ProtocolConfig;
-use vf2boost::core::train_federated;
+use vf2boost::core::{train_federated, FedNode, TraceEventKind, TrainOutput};
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2boost::datagen::vertical::split_vertical;
 use vf2boost::gbdt::train::GbdtParams;
@@ -92,4 +92,72 @@ fn paillier_baseline_and_vf2boost_agree() {
     let vm = vf2.model.predict_margin(&[&s.hosts[0]], &s.guest);
     let diff = bm.iter().zip(&vm).map(|(a, b)| (a - b).abs()).sum::<f64>() / bm.len() as f64;
     assert!(diff < 1e-3, "mean |Δmargin| = {diff}");
+}
+
+/// The VF-GBDT baseline keeps its per-layer shape inside the guest's
+/// event-driven tree loop: each committed histogram batch is exactly one
+/// layer, holding every live host's answer for every node of that layer.
+/// VF²Boost commits whatever has already arrived, so it commits more,
+/// smaller batches.
+#[test]
+fn baseline_commits_exactly_one_layer_per_batch() {
+    const HOSTS: usize = 2;
+    const LAYERS: usize = 4;
+    let data = generate_classification(&SyntheticConfig {
+        rows: 300,
+        features: 12,
+        density: 1.0,
+        informative_frac: 0.5,
+        label_noise: 0.0,
+        seed: 79,
+    });
+    let s = split_vertical(&data, &[4, 4]);
+    assert_eq!(s.hosts.len(), HOSTS);
+    let run = |protocol: ProtocolConfig| -> TrainOutput {
+        let cfg = TrainConfig {
+            gbdt: GbdtParams { num_trees: 3, max_layers: LAYERS, ..Default::default() },
+            crypto: CryptoConfig::Mock,
+            protocol,
+            trace_events_cap: 1 << 16,
+            ..TrainConfig::for_tests()
+        };
+        train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds")
+    };
+
+    let baseline = run(ProtocolConfig::baseline());
+    // Every node above the last layer was sent a NodeTask and answered
+    // once by each host (the baseline never rolls a node back), so the
+    // per-layer batches follow from the trained trees alone.
+    let mut expected: Vec<(u32, u64)> = Vec::new();
+    for (t, tree) in baseline.model.trees.iter().enumerate() {
+        for layer in 0..LAYERS - 1 {
+            let nodes = ((1 << layer) - 1..(1 << (layer + 1)) - 1)
+                .filter(|&n| !matches!(tree.nodes[n], FedNode::Absent))
+                .count();
+            if nodes > 0 {
+                expected.push((t as u32, (HOSTS * nodes) as u64));
+            }
+        }
+    }
+    let guest = &baseline.report.guest;
+    assert_eq!(guest.trace.dropped(), 0, "the trace ring must hold the whole run");
+    let batches: Vec<(u32, u64)> = guest
+        .trace
+        .events()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::SchedBatch { drained } => Some((e.tree?, drained)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(batches, expected, "baseline batches must be whole layers");
+    assert_eq!(guest.events.sched_batches, expected.len() as u64);
+    assert_eq!(guest.events.sched_batch_hists, expected.iter().map(|&(_, n)| n).sum::<u64>());
+
+    let vf2boost = run(ProtocolConfig::vf2boost());
+    assert!(
+        vf2boost.report.guest.events.sched_batches > guest.events.sched_batches,
+        "VF2Boost committed {} batches, the baseline {}",
+        vf2boost.report.guest.events.sched_batches,
+        guest.events.sched_batches
+    );
 }

@@ -1,20 +1,21 @@
-//! Many-party chaos matrix for the event-driven scheduler: 8 hosts over
-//! heterogeneous faulty WANs, trained under both schedulers in every
-//! protocol mode, must produce bitwise-identical models.
+//! Many-party chaos matrix for the guest's event-driven tree loop: 8 hosts
+//! over heterogeneous faulty WANs must train, in every protocol mode, the
+//! model a fault-free run on instant links trains, bit for bit.
 //!
-//! The pipelined scheduler reorders *work* (one host's decrypt overlaps
-//! another's transfer; already-arrived histograms commit in batches) but
-//! must never reorder *decisions*: per-node splits fire only once every
-//! live host's answer is admitted, and the winner scan walks hosts in
-//! index order. These tests drive that claim through rolling per-link
-//! stalls, reordering links, a heterogeneous bandwidth/latency spread,
-//! and a mid-run host kill-and-rejoin with phases overlapping.
+//! The tree loop takes answers in whatever order the links deliver them
+//! (one host's decrypt overlaps another's transfer; already-arrived
+//! histograms commit in batches) but must never reorder *decisions*:
+//! per-node splits fire only once every live host's answer is admitted,
+//! and the winner scan walks hosts in index order. These tests drive that
+//! claim through rolling per-link stalls, reordering links, a
+//! heterogeneous bandwidth/latency spread, and a mid-run host
+//! kill-and-rejoin with phases overlapping.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use vf2boost::channel::{FaultConfig, StallWindow, WanConfig};
-use vf2boost::core::config::{CryptoConfig, HostLossPolicy, Scheduler, WanSpread};
+use vf2boost::core::config::{CryptoConfig, HostLossPolicy, WanSpread};
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
@@ -36,8 +37,8 @@ fn scenario(seed: u64) -> VerticalScenario {
     split_even(&data, HOSTS + 1)
 }
 
-/// Sequential/optimistic × raw/packed: the matrix the scheduler contract
-/// is asserted over.
+/// Sequential/optimistic × raw/packed: the matrix the arrival-order
+/// contract is asserted over.
 fn modes() -> [(&'static str, ProtocolConfig); 4] {
     let seq = ProtocolConfig::baseline();
     let opt = ProtocolConfig {
@@ -53,7 +54,7 @@ fn modes() -> [(&'static str, ProtocolConfig); 4] {
     ]
 }
 
-/// A per-link plan with both fault classes the scheduler must ride out:
+/// A per-link plan with both fault classes the tree loop must ride out:
 /// a timed blackout (staggered per host by `stall_stagger`, so outages
 /// roll across the roster) and frame reordering.
 fn rolling_faults(seed: u64) -> FaultConfig {
@@ -66,6 +67,19 @@ fn rolling_faults(seed: u64) -> FaultConfig {
             duration: Duration::from_millis(30),
         }),
         ..FaultConfig::none()
+    }
+}
+
+/// The same job on instant, fault-free, uniform links: the reference
+/// arrival order the chaos runs are compared against.
+fn clean_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
+    TrainConfig {
+        wan: WanConfig::instant(),
+        wan_spread: None,
+        fault_guest_to_host: FaultConfig::none(),
+        fault_host_to_guest: FaultConfig::none(),
+        stall_stagger: Duration::ZERO,
+        ..chaos_cfg(seed, protocol)
     }
 }
 
@@ -101,54 +115,32 @@ fn assert_bitwise(name: &str, a: &[f64], b: &[f64]) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert!(
             x.to_bits() == y.to_bits(),
-            "[{name}] margin {i} diverged between schedulers: {x} vs {y}"
+            "[{name}] margin {i} diverged between arrival orders: {x} vs {y}"
         );
     }
 }
 
 /// The tentpole contract: across sequential/optimistic × raw/packed, an
 /// 8-host run on hostile heterogeneous links trains the identical model
-/// under the lockstep and pipelined schedulers.
+/// to a fault-free run on instant links, whose answers arrive in a
+/// different order.
 #[test]
-fn eight_host_chaos_matrix_is_scheduler_invariant() {
+fn eight_host_chaos_matrix_is_arrival_order_invariant() {
     let s = scenario(71);
     for (name, protocol) in modes() {
-        let lockstep_cfg = chaos_cfg(71, protocol);
-        let pipelined_cfg =
-            TrainConfig { scheduler: Scheduler::Pipelined, pipeline_depth: 4, ..lockstep_cfg };
-        let lockstep = train_federated(&s.hosts, &s.guest, &lockstep_cfg)
-            .unwrap_or_else(|f| panic!("[{name}] lockstep chaos run failed: {}", f.error));
-        let pipelined = train_federated(&s.hosts, &s.guest, &pipelined_cfg)
-            .unwrap_or_else(|f| panic!("[{name}] pipelined chaos run failed: {}", f.error));
+        let clean = train_federated(&s.hosts, &s.guest, &clean_cfg(71, protocol))
+            .unwrap_or_else(|f| panic!("[{name}] clean run failed: {}", f.error));
+        let chaos = train_federated(&s.hosts, &s.guest, &chaos_cfg(71, protocol))
+            .unwrap_or_else(|f| panic!("[{name}] chaos run failed: {}", f.error));
 
-        assert_eq!(lockstep.report.hosts.len(), HOSTS);
-        assert_eq!(pipelined.report.hosts.len(), HOSTS);
-        assert_bitwise(name, &margins(&lockstep, &s), &margins(&pipelined, &s));
+        assert_eq!(clean.report.hosts.len(), HOSTS);
+        assert_eq!(chaos.report.hosts.len(), HOSTS);
+        assert_bitwise(name, &margins(&clean, &s), &margins(&chaos, &s));
 
-        // The wire really was hostile in both runs.
-        for out in [&lockstep, &pipelined] {
-            let ev = out.report.link_events();
-            assert!(ev.faults_injected > 0, "[{name}] no faults fired: {ev:?}");
-        }
+        // The wire really was hostile in the chaos run.
+        let ev = chaos.report.link_events();
+        assert!(ev.faults_injected > 0, "[{name}] no faults fired: {ev:?}");
     }
-}
-
-/// A degenerate pipeline depth of 1 must behave like one-at-a-time event
-/// handling, not deadlock or diverge.
-#[test]
-fn pipeline_depth_one_still_matches() {
-    let s = scenario(72);
-    let protocol = ProtocolConfig::vf2boost();
-    let lockstep = train_federated(&s.hosts, &s.guest, &chaos_cfg(72, protocol))
-        .unwrap_or_else(|f| panic!("lockstep run failed: {}", f.error));
-    let shallow_cfg = TrainConfig {
-        scheduler: Scheduler::Pipelined,
-        pipeline_depth: 1,
-        ..chaos_cfg(72, protocol)
-    };
-    let shallow = train_federated(&s.hosts, &s.guest, &shallow_cfg)
-        .unwrap_or_else(|f| panic!("depth-1 pipelined run failed: {}", f.error));
-    assert_bitwise("depth-1", &margins(&lockstep, &s), &margins(&shallow, &s));
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -157,11 +149,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Kill host 0 inside tree 1's node loop while the pipelined scheduler
-/// has overlapping transfers in flight from seven live survivors: the
-/// quarantine → rejoin → rewind barrier must hold exactly as it does
-/// under lockstep, and the final model must be bitwise identical to an
-/// uninterrupted run.
+/// Kill host 0 inside tree 1's node loop while the tree loop has
+/// overlapping transfers in flight from seven live survivors: the
+/// quarantine → rejoin → rewind barrier must hold, and the final model
+/// must be bitwise identical to an uninterrupted run.
 #[test]
 fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
     let s = scenario(73);
@@ -170,14 +161,12 @@ fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
         crypto: CryptoConfig::Mock,
         protocol: ProtocolConfig::vf2boost(),
         wan: WanConfig::instant(),
-        scheduler: Scheduler::Pipelined,
-        pipeline_depth: 4,
         seed: 73,
         ..TrainConfig::for_tests()
     };
 
     let clean = train_federated(&s.hosts, &s.guest, &base)
-        .unwrap_or_else(|f| panic!("clean pipelined run failed: {}", f.error));
+        .unwrap_or_else(|f| panic!("clean run failed: {}", f.error));
     let clean_margins = margins(&clean, &s);
 
     let dir = temp_dir("rejoin");
@@ -188,7 +177,7 @@ fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
         ..base
     };
     let out = train_federated_session(&s.hosts, &s.guest, &chaos, Some(&session))
-        .unwrap_or_else(|f| panic!("pipelined rejoin run failed: {}", f.error));
+        .unwrap_or_else(|f| panic!("rejoin run failed: {}", f.error));
 
     let ev = &out.report.guest.events;
     assert!(ev.quarantines >= 1, "host loss was never quarantined: {ev:?}");

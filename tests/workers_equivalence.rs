@@ -3,9 +3,9 @@
 //! histogram build, pack and decrypt — never what they compute. Every
 //! parallel call collects in index order and per-row randomness derives
 //! from the row index, so the trained model must be bitwise identical at
-//! any `workers`, in every GH-packing × scheduler combination.
+//! any `workers`, under either GH-packing setting.
 
-use vf2boost::core::config::{CryptoConfig, Scheduler, TrainConfig};
+use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::train_federated;
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2boost::datagen::vertical::{split_even, VerticalScenario};
@@ -23,19 +23,13 @@ fn scenario(hosts: usize, seed: u64) -> VerticalScenario {
     split_even(&data, hosts + 1)
 }
 
-/// Trains with the given width, GH packing and scheduler and returns the
-/// final margins as bit patterns.
-fn margins(
-    s: &VerticalScenario,
-    workers: usize,
-    gh_packing: bool,
-    scheduler: Scheduler,
-) -> Vec<u64> {
+/// Trains with the given width and GH packing and returns the final
+/// margins as bit patterns.
+fn margins(s: &VerticalScenario, workers: usize, gh_packing: bool) -> Vec<u64> {
     let cfg = TrainConfig {
         gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
         crypto: CryptoConfig::Paillier { key_bits: 256 },
         gh_packing,
-        scheduler,
         workers,
         ..TrainConfig::for_tests()
     };
@@ -48,15 +42,13 @@ fn margins(
 fn two_hosts_train_bitwise_identical_models_at_any_worker_count() {
     let s = scenario(2, 41);
     for gh_packing in [false, true] {
-        for scheduler in [Scheduler::Lockstep, Scheduler::Pipelined] {
-            let reference = margins(&s, 1, gh_packing, scheduler);
-            for workers in [2, 4] {
-                assert_eq!(
-                    margins(&s, workers, gh_packing, scheduler),
-                    reference,
-                    "workers={workers} gh_packing={gh_packing} scheduler={scheduler:?}"
-                );
-            }
+        let reference = margins(&s, 1, gh_packing);
+        for workers in [2, 4] {
+            assert_eq!(
+                margins(&s, workers, gh_packing),
+                reference,
+                "workers={workers} gh_packing={gh_packing}"
+            );
         }
     }
 }
@@ -64,12 +56,8 @@ fn two_hosts_train_bitwise_identical_models_at_any_worker_count() {
 #[test]
 fn four_hosts_train_bitwise_identical_models_at_any_worker_count() {
     let s = scenario(4, 43);
-    let reference = margins(&s, 1, true, Scheduler::Pipelined);
+    let reference = margins(&s, 1, true);
     for workers in [2, 4] {
-        assert_eq!(
-            margins(&s, workers, true, Scheduler::Pipelined),
-            reference,
-            "workers={workers}"
-        );
+        assert_eq!(margins(&s, workers, true), reference, "workers={workers}");
     }
 }
